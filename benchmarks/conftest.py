@@ -11,12 +11,22 @@ Scale knobs (environment variables):
 * ``REPRO_TRAIN_STEPS``   — PPO timesteps per model (default 6000; paper: 100000)
 * ``REPRO_BENCH_QUBITS``  — qubit count for the per-family evaluation circuits (default 5)
 * ``REPRO_MAX_QUBITS``    — maximum qubit count of the training suite (default 6)
+
+Output: ``BENCH_*.json`` and ``latest.txt`` (this run's :func:`report` text)
+go to a temporary directory, so a test run leaves the checkout clean.  Set
+``REPRO_BENCH_WRITE=1`` to write them to ``benchmarks/results/`` instead (the
+CI benchmark steps do, and publish that directory).
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
+import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -31,18 +41,39 @@ from repro.core.training import TrainingConfig, train_all_models  # noqa: E402
 from repro.evaluation import compare_predictor  # noqa: E402
 from repro.rl import PPOConfig  # noqa: E402
 
+
+@functools.cache
+def results_dir() -> Path:
+    """Where this run's benchmark outputs go (see the module docstring)."""
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        path = Path(__file__).resolve().parent / "results"
+        path.mkdir(exist_ok=True)
+    else:
+        path = Path(tempfile.mkdtemp(prefix="repro-bench-"))
+        atexit.register(shutil.rmtree, path, ignore_errors=True)
+    (path / "latest.txt").write_text("", encoding="utf-8")  # this run's text only
+    return path
+
+
+def write_results(filename: str, payload: dict, config: dict) -> None:
+    """Merge ``payload`` and ``config`` into the JSON file ``filename``."""
+    path = results_dir() / filename
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.update(payload)
+    data["config"] = config
+    path.write_text(json.dumps(data, indent=1, sort_keys=True))
+
+
 def report(text: str) -> None:
     """Emit reproduction data so it is visible even with pytest output capture on.
 
     Benchmark runs are typically invoked as ``pytest benchmarks/ --benchmark-only``
     (without ``-s``); writing to the real stdout keeps the regenerated figure
     and table data in the console / ``bench_output.txt`` log, and a copy is
-    appended to ``benchmarks/results/latest.txt`` for later inspection.
+    appended to ``latest.txt`` in :func:`results_dir` for later inspection.
     """
     print(text, file=sys.__stdout__)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    with open(results_dir / "latest.txt", "a", encoding="utf-8") as handle:
+    with open(results_dir() / "latest.txt", "a", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
 

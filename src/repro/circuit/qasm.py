@@ -37,18 +37,28 @@ class QasmError(ValueError):
     """
 
 
+#: denominators of the pi-fractions ``to_qasm`` writes, tried in this order
+_PI_DENOMS = (1, 2, 3, 4, 6, 8, 16)
+
+
 def _format_param(value: float) -> str:
-    """Render a parameter, using multiples of pi where exact."""
-    for denom in (1, 2, 3, 4, 6, 8, 16):
-        for num in range(-16 * denom, 16 * denom + 1):
-            if num == 0:
-                continue
-            if abs(value - num * math.pi / denom) < 1e-12:
-                frac = f"pi*{num}/{denom}" if denom != 1 else f"pi*{num}"
-                return frac
-    if abs(value) < 1e-15:
+    """Render a parameter so that :func:`_eval_param` reads back the same float.
+
+    ``pi*N/D`` (``pi*N`` for ``D == 1``) is written only when ``value`` *is*
+    ``(pi * N) / D`` for a ``D`` in :data:`_PI_DENOMS` and ``|N| <= 16 * D``;
+    ``0`` only for ``+0.0``; everything else as ``repr``.  Within one
+    denominator the candidates lie ``pi / D`` apart, so rounding
+    ``value * D / pi`` names the only ``N`` worth testing.
+    """
+    value = float(value)
+    if abs(value) < 17 * math.pi:  # also False for nan and inf
+        for denom in _PI_DENOMS:
+            num = round(value * denom / math.pi)
+            if num and abs(num) <= 16 * denom and value == math.pi * num / denom:
+                return f"pi*{num}/{denom}" if denom != 1 else f"pi*{num}"
+    if value == 0.0 and math.copysign(1.0, value) > 0:
         return "0"
-    return repr(float(value))
+    return repr(value)
 
 
 def to_qasm(circuit: QuantumCircuit) -> str:
@@ -57,12 +67,12 @@ def to_qasm(circuit: QuantumCircuit) -> str:
     lines.append(f"qreg q[{max(circuit.num_qubits, 1)}];")
     lines.append(f"creg c[{max(circuit.num_clbits, 1)}];")
     for instr in circuit:
-        name = _TO_QASM_NAME.get(instr.name, instr.name)
-        if instr.name == "barrier":
+        name = instr.name
+        if name == "barrier":
             qubits = ",".join(f"q[{q}]" for q in instr.qubits)
             lines.append(f"barrier {qubits};" if qubits else "barrier q;")
             continue
-        if instr.name == "measure":
+        if name == "measure":
             q = instr.qubits[0]
             c = instr.clbits[0] if instr.clbits else q
             lines.append(f"measure q[{q}] -> c[{c}];")
@@ -71,7 +81,7 @@ def to_qasm(circuit: QuantumCircuit) -> str:
         if instr.params:
             params = "(" + ",".join(_format_param(p) for p in instr.params) + ")"
         qubits = ",".join(f"q[{q}]" for q in instr.qubits)
-        lines.append(f"{name}{params} {qubits};")
+        lines.append(f"{_TO_QASM_NAME.get(name, name)}{params} {qubits};")
     return "\n".join(lines) + "\n"
 
 
@@ -88,9 +98,30 @@ _MEASURE_RE = re.compile(
 )
 
 
+#: the two shapes ``to_qasm`` writes: ``pi*N[/D]`` and a ``repr``-style float.
+#: Numerals are capped at 9 digits so ``int`` -> ``float`` cannot overflow;
+#: longer ones take the ``eval`` path, which reports the error.
+_PI_FRACTION_RE = re.compile(r"pi\*(-?(?:0|[1-9][0-9]{0,8}))(?:/([1-9][0-9]{0,8}))?")
+_FLOAT_RE = re.compile(r"0|-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+)")
+
+
 def _eval_param(expr: str) -> float:
-    """Evaluate a QASM parameter expression (numbers, pi, + - * /)."""
+    """Evaluate a QASM parameter expression (numbers, pi, + - * /).
+
+    What :func:`to_qasm` writes is read without ``eval``: ``pi*N/D`` becomes
+    ``(pi * N) / D`` and a finite float literal goes through ``float`` —
+    the same floats ``eval`` gives.  Anything else takes the sanitised
+    ``eval``.
+    """
     original = expr.strip()
+    match = _PI_FRACTION_RE.fullmatch(original)
+    if match:
+        num, denom = match.groups()
+        return math.pi * int(num) / int(denom or 1)
+    if _FLOAT_RE.fullmatch(original):
+        value = float(original)
+        if math.isfinite(value):
+            return value
     expr = original.replace("pi", repr(math.pi))
     if not re.fullmatch(r"[0-9eE\.\+\-\*/\(\) ]+", expr):
         raise QasmError(f"unsupported parameter expression: {original!r}")

@@ -97,6 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "shown on /dashboard and in /v1/stats)",
     )
     parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="enable hot-path profiling: per-pass and per-kernel wall-time "
+        "counters plus the QASM wire cost (sites gateway.decode and "
+        "gateway.encode), exposed in /v1/stats and /metrics",
+    )
+    parser.add_argument(
         "--json-logs",
         action="store_true",
         help="emit structured JSON logs on stderr (one object per line, "
@@ -111,6 +118,10 @@ def main(argv: "list[str] | None" = None) -> int:
         from ..obs import configure_json_logging
 
         configure_json_logging()
+    if args.profile:
+        from ..profiling import enable_profiling
+
+        enable_profiling()
     registry = TenantRegistry.from_file(args.keys) if args.keys else None
     process_backends = tuple(
         name.strip() for name in args.process_backends.split(",") if name.strip()

@@ -275,7 +275,8 @@ def render_prometheus(
         metric(
             "repro_service_hotpath_seconds_total",
             "counter",
-            "Wall time spent per profiled pass / kernel (requires --profile).",
+            "Wall time spent per profiled site: pass, kernel, gateway decode/encode "
+            "(requires --profile).",
             [
                 _line(
                     "repro_service_hotpath_seconds_total",
@@ -288,7 +289,8 @@ def render_prometheus(
         metric(
             "repro_service_hotpath_calls_total",
             "counter",
-            "Invocations per profiled pass / kernel (requires --profile).",
+            "Invocations per profiled site: pass, kernel, gateway decode/encode "
+            "(requires --profile).",
             [
                 _line(
                     "repro_service_hotpath_calls_total",

@@ -35,8 +35,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
+from ..circuit import QuantumCircuit
 from ..circuit.qasm import QasmError, from_qasm
 from ..obs import SlowRequestLog, Span, get_logger, new_trace_id, valid_trace_id
+from ..profiling import profiled
 from .auth import AuthError, RateLimited, Tenant, TenantRegistry
 from .dashboard import render_dashboard
 from .fairshare import FairShareScheduler
@@ -264,7 +266,8 @@ class GatewayServer:
         if not isinstance(qasm, str) or not qasm.strip():
             raise _HTTPError(400, "bad_request", "missing required field 'qasm'")
         try:
-            circuit = from_qasm(qasm)
+            with profiled("gateway.decode"):
+                circuit = from_qasm(qasm)
         except QasmError as exc:
             raise _HTTPError(400, "qasm_error", str(exc)) from None
         if payload.get("name"):
@@ -356,7 +359,7 @@ class GatewayServer:
                 from ..api.batch import _failure_result
 
                 result = _failure_result(
-                    from_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n"),
+                    QuantumCircuit(1, 1),
                     job.backend,
                     "fidelity",
                     exc,
@@ -677,9 +680,10 @@ class _Handler(BaseHTTPRequestHandler):
                 202,
                 {"job_id": job.id, "state": job.state, "timed_out_after": wait, **links},
             )
+        with profiled("gateway.encode"):
+            encoded = result.to_dict()
         self._send_json(
-            200,
-            {"job_id": job.id, "state": "done", "result": result.to_dict(), **links},
+            200, {"job_id": job.id, "state": "done", "result": encoded, **links}
         )
 
     def _handle_result(self, job) -> None:
@@ -691,7 +695,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
         result = job.result
         assert result is not None
-        self._send_json(200, {"job_id": job.id, "state": job.state, "result": result.to_dict()})
+        with profiled("gateway.encode"):
+            encoded = result.to_dict()
+        self._send_json(200, {"job_id": job.id, "state": job.state, "result": encoded})
 
     def _handle_events(self, job) -> None:
         """Stream the job's lifecycle as server-sent events until it is done."""

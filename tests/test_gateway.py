@@ -21,6 +21,7 @@ from repro.gateway import (
 )
 from repro.gateway.auth import AuthError, RateLimited
 from repro.gateway.metrics import quantile
+from repro.profiling import disable_profiling, enable_profiling, profiler
 from repro.service import CompileService
 
 
@@ -495,6 +496,33 @@ class TestObservabilityHTTP:
         rows = entry["breakdown"]
         assert rows and rows[0]["name"] == "gateway.request"
         assert {"service.request", "queue.wait"} <= {row["name"] for row in rows}
+
+    def test_wire_cost_sites_in_metrics(self, gateway, ghz3):
+        client = GatewayClient(gateway.url, api_key="alice-key")
+        enable_profiling(clear=True)
+        try:
+            client.compile(ghz3, backend="qiskit-o0", device="ibmq_washington")
+            job_id = client.submit(ghz3, backend="qiskit-o0", device="ibmq_washington", seed=5)
+            client.result(job_id, timeout=60)
+            counters = profiler().snapshot()
+            text = client.metrics()
+        finally:
+            disable_profiling()
+            profiler().clear()
+        # Two submits decode twice; the sync response and the polled result
+        # encode once each (a poll that finds the job unfinished encodes nothing).
+        assert counters["gateway.decode"]["calls"] == 2
+        assert counters["gateway.encode"]["calls"] == 2
+        for site in ("gateway.decode", "gateway.encode"):
+            assert f'repro_service_hotpath_seconds_total{{site="{site}"}}' in text
+            assert f'repro_service_hotpath_calls_total{{site="{site}"}} 2' in text
+
+    def test_wire_cost_sites_record_nothing_when_profiling_is_off(self, gateway, ghz3):
+        profiler().clear()
+        client = GatewayClient(gateway.url, api_key="alice-key")
+        client.compile(ghz3, backend="qiskit-o0", device="ibmq_washington")
+        assert profiler().snapshot() == {}
+        assert "hotpath" not in client.metrics()
 
     def test_sse_events_carry_the_trace_id(self, gateway, ghz3):
         client = GatewayClient(gateway.url, api_key="alice-key")

@@ -3,11 +3,59 @@
 from __future__ import annotations
 
 import math
+import re
+import struct
 
 import pytest
 
+import repro
 from repro.circuit import QasmError, QuantumCircuit, from_qasm, random_circuit, to_qasm
+from repro.circuit.qasm import _eval_param, _format_param
 from repro.linalg import allclose_up_to_global_phase, circuit_unitary
+
+# -- reference implementations: the pre-O(1) scan and the eval-only decoder ----------
+
+#: every candidate of the old scan, in scan order (denominator, then numerator)
+_SCAN = [
+    (num * math.pi / denom, f"pi*{num}/{denom}" if denom != 1 else f"pi*{num}")
+    for denom in (1, 2, 3, 4, 6, 8, 16)
+    for num in range(-16 * denom, 16 * denom + 1)
+    if num != 0
+]
+
+
+def _scan_format_param(value: float) -> str:
+    """The ~1,300-candidate scan ``to_qasm`` used to run, with exact matching."""
+    for candidate, text in _SCAN:
+        if value == candidate:
+            return text
+    if value == 0.0 and math.copysign(1.0, value) > 0:
+        return "0"
+    return repr(float(value))
+
+
+def _eval_only_param(expr: str) -> float:
+    """The decoder before its fast path: sanitise, then ``eval``."""
+    original = expr.strip()
+    expr = original.replace("pi", repr(math.pi))
+    if not re.fullmatch(r"[0-9eE\.\+\-\*/\(\) ]+", expr):
+        raise QasmError(f"unsupported parameter expression: {original!r}")
+    try:
+        return float(eval(expr, {"__builtins__": {}}, {}))  # noqa: S307 - sanitised above
+    except Exception as exc:
+        raise QasmError(f"invalid parameter expression {original!r}: {exc}") from None
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _assert_same_circuit(rebuilt: QuantumCircuit, original: QuantumCircuit) -> None:
+    assert len(rebuilt) == len(original)
+    for got, want in zip(rebuilt, original):
+        assert (got.name, got.qubits, got.clbits) == (want.name, want.qubits, want.clbits)
+        assert [_bits(p) for p in got.params] == [_bits(float(p)) for p in want.params]
+    assert rebuilt.fingerprint() == original.fingerprint()
 
 
 class TestExport:
@@ -156,3 +204,98 @@ class TestRoundTrip:
         ghz5.measure_all()
         rebuilt = from_qasm(to_qasm(ghz5))
         assert rebuilt.count_ops() == ghz5.count_ops()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_circuits(self, seed):
+        circuit = random_circuit(4, 12, seed=seed, measure=seed % 2 == 0)
+        _assert_same_circuit(from_qasm(to_qasm(circuit)), circuit)
+
+    def test_edge_parameters(self):
+        circuit = QuantumCircuit(1)
+        for value in (0.0, -0.0, 5e-324, 1e-16, math.pi / 2, math.nextafter(math.pi / 2, 0.0)):
+            circuit.rz(value, 0)
+        _assert_same_circuit(from_qasm(to_qasm(circuit)), circuit)
+
+    @pytest.mark.parametrize("family", ["qft", "qaoa", "twolocalrandom", "qpeinexact"])
+    def test_compiled_preset_outputs(self, family):
+        circuit = repro.benchmark_circuit(family, 4)
+        for backend in ("qiskit-o1", "qiskit-o3", "tket-o1", "tket-o2"):
+            result = repro.compile(circuit, backend=backend, device="ibmq_washington")
+            _assert_same_circuit(from_qasm(to_qasm(result.circuit)), result.circuit)
+            wire = repro.CompilationResult.from_dict(result.to_dict())
+            assert wire.circuit.fingerprint() == result.circuit.fingerprint()
+
+
+def _parity_values() -> list[float]:
+    """``N*pi/D`` for denominators in and outside the table (N well beyond it),
+    each with ±5e-13, ±2e-12 and ±1-ulp neighbours, plus the special values."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+    for denom in (1, 2, 3, 4, 6, 8, 16, 5, 7, 32):
+        for num in range(-64 * denom, 64 * denom + 1):
+            base = num * math.pi / denom
+            values += [base, base + 5e-13, base - 5e-13, base + 2e-12, base - 2e-12]
+            values += [math.nextafter(base, math.inf), math.nextafter(base, -math.inf)]
+    return values
+
+
+_PARITY_VALUES = _parity_values()
+
+
+class TestParameterEncoding:
+    def test_matches_the_candidate_scan(self):
+        assert len(_PARITY_VALUES) > 75_000
+        for value in _PARITY_VALUES:
+            assert _format_param(value) == _scan_format_param(value), value
+
+    def test_only_exact_fractions_snap(self):
+        half_pi = math.pi / 2
+        assert _format_param(half_pi) == "pi*1/2"
+        assert _format_param(math.nextafter(half_pi, 0.0)) == repr(math.nextafter(half_pi, 0.0))
+        assert _format_param(0.0) == "0"
+        assert _format_param(-0.0) == "-0.0"
+        assert _format_param(1e-16) == "1e-16"
+        assert _format_param(5e-324) == "5e-324"
+        assert _format_param(17 * math.pi) == repr(17 * math.pi)  # beyond the table
+
+    def test_every_finite_value_round_trips_bitwise(self):
+        for value in _PARITY_VALUES:
+            if math.isfinite(value):
+                text = _format_param(value)
+                assert _bits(_eval_param(text)) == _bits(value), text
+                assert _bits(_eval_only_param(text)) == _bits(value), text
+
+
+class TestParameterDecoding:
+    """The decoder's fast path accepts nothing the sanitiser rejected and reads
+    every expression to the float the eval path gave."""
+
+    HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+
+    @pytest.mark.parametrize(
+        "expr", ["nan", "inf", "-inf", "1_0", "01", "pi*01", "pi*1/0", "pi*x", "__import__", ""]
+    )
+    def test_rejected(self, expr):
+        with pytest.raises(QasmError):
+            _eval_only_param(expr)
+        with pytest.raises(QasmError):
+            _eval_param(expr)
+        with pytest.raises(QasmError):
+            from_qasm(self.HEADER + f"u({expr},0.5,0.5) q[0];\n")
+
+    def test_empty_parameter_list_rejected(self):
+        with pytest.raises(QasmError):
+            from_qasm(self.HEADER + "rz() q[0];\n")
+
+    EXPRESSIONS = [
+        "pi/4", "-pi/2", "2*pi/3", "1e-3", "pi*3/4", "pi*-5/16", "pi*7", "pi*0", "pi*-0",
+        "0", "-0", "-0.0", "0.25", " 0.25 ", "1e+16", "5e-324", "1e999",
+    ]
+
+    @pytest.mark.parametrize("expr", EXPRESSIONS + ["(pi)/2"])
+    def test_same_float_as_the_eval_path(self, expr):
+        assert _bits(_eval_param(expr)) == _bits(_eval_only_param(expr))
+
+    @pytest.mark.parametrize("expr", EXPRESSIONS)
+    def test_same_float_through_from_qasm(self, expr):
+        rebuilt = from_qasm(self.HEADER + f"rz({expr}) q[0];\n")
+        assert _bits(rebuilt[0].params[0]) == _bits(_eval_only_param(expr))
